@@ -33,7 +33,7 @@
 #include <string>
 
 #include "api/systemds_context.h"
-#include "common/statistics.h"
+#include "obs/metrics.h"
 
 int main(int argc, char** argv) {
   using namespace sysds;
@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
   std::stringstream buf;
   buf << in.rdbuf();
 
-  Statistics::Get().Reset();
+  obs::MetricsRegistry::Get().ResetValues();
   SystemDSContext::Builder builder;
   builder.WithConfig(config);
   if (!trace_path.empty()) builder.EnableTracing(trace_path);
@@ -152,7 +152,7 @@ int main(int argc, char** argv) {
   }
   std::cout << result->Output();
   if (config.statistics) {
-    std::cout << "\n" << Statistics::Get().Report();
+    std::cout << "\n" << obs::HeavyHitterReport();
   }
   Status flush = ctx->FlushObservability();
   if (!flush.ok()) {

@@ -142,7 +142,6 @@ StatusOr<ScriptResult> RunProgram(Program* program, const DMLConfig* config,
     CheckpointManager::Options opts;
     opts.dir = config->checkpoint_dir;
     opts.interval = config->checkpoint_interval;
-    opts.cost_factor = config->checkpoint_cost_factor;
     opts.resume = config->checkpoint_resume;
     checkpoints = std::make_unique<CheckpointManager>(
         std::move(opts), ProgramIdentityHash(program->Explain()));
@@ -256,11 +255,6 @@ SystemDSContext::Builder& SystemDSContext::Builder::Compression(bool on) {
   config_.compression_enabled = on;
   return *this;
 }
-SystemDSContext::Builder& SystemDSContext::Builder::CompressionMinRatio(
-    double ratio) {
-  config_.compression_min_ratio = ratio;
-  return *this;
-}
 SystemDSContext::Builder& SystemDSContext::Builder::CompressionMinSize(
     int64_t bytes) {
   config_.compression_min_size_bytes = bytes;
@@ -305,11 +299,6 @@ SystemDSContext::Builder& SystemDSContext::Builder::Checkpointing(
   config_.checkpoint_interval = interval;
   return *this;
 }
-SystemDSContext::Builder& SystemDSContext::Builder::CheckpointCostFactor(
-    double factor) {
-  config_.checkpoint_cost_factor = factor;
-  return *this;
-}
 SystemDSContext::Builder& SystemDSContext::Builder::Resume(bool on) {
   config_.checkpoint_resume = on;
   return *this;
@@ -317,8 +306,9 @@ SystemDSContext::Builder& SystemDSContext::Builder::Resume(bool on) {
 
 std::unique_ptr<SystemDSContext> SystemDSContext::Builder::Build() const {
   auto ctx = std::make_unique<SystemDSContext>(config_);
-  if (!trace_path_.empty()) ctx->EnableTracing(trace_path_);
-  if (!metrics_path_.empty()) ctx->EnableMetricsExport(metrics_path_);
+  ctx->trace_path_ = trace_path_;
+  ctx->metrics_path_ = metrics_path_;
+  if (!trace_path_.empty()) obs::Tracer::Get().Enable();
   return ctx;
 }
 
@@ -348,15 +338,6 @@ SystemDSContext::~SystemDSContext() {
   MatrixObject::ClearBufferPool(pool_.get());
 }
 
-void SystemDSContext::EnableTracing(const std::string& path) {
-  trace_path_ = path;
-  obs::Tracer::Get().Enable();
-}
-
-void SystemDSContext::EnableMetricsExport(const std::string& path) {
-  metrics_path_ = path;
-}
-
 Status SystemDSContext::FlushObservability() {
   if (!trace_path_.empty()) {
     obs::Tracer::Get().Disable();
@@ -378,32 +359,11 @@ Status SystemDSContext::FlushObservability() {
 DataPtr SystemDSContext::Matrix(MatrixBlock m) {
   return std::make_shared<MatrixObject>(std::move(m));
 }
-DataPtr SystemDSContext::Frame(FrameBlock f) {
-  return std::make_shared<FrameObject>(std::move(f));
-}
-DataPtr SystemDSContext::Scalar(double v) {
-  return ScalarObject::MakeDouble(v);
-}
-DataPtr SystemDSContext::ScalarInt(int64_t v) {
-  return ScalarObject::MakeInt(v);
-}
-DataPtr SystemDSContext::ScalarString(std::string v) {
-  return ScalarObject::MakeString(std::move(v));
-}
-DataPtr SystemDSContext::ScalarBool(bool v) {
-  return ScalarObject::MakeBool(v);
-}
 
 StatusOr<ScriptResult> SystemDSContext::Execute(const std::string& script,
                                                 const Inputs& inputs,
                                                 const Outputs& outputs,
                                                 const ExecuteOptions& options) {
-  // The lineage cache holds values from prior executions; its policy is
-  // refreshed from the current config (benchmarks toggle reuse).
-  if (cache_->policy() != config_->reuse_policy) {
-    cache_ = std::make_shared<LineageCache>(config_->lineage_cache_limit,
-                                            config_->reuse_policy);
-  }
   SymbolInfoMap infos;
   for (const auto& [name, value] : inputs.Bindings()) {
     infos[name] = InfoOf(value);
@@ -415,14 +375,6 @@ StatusOr<ScriptResult> SystemDSContext::Execute(const std::string& script,
   run.cancel = options.cancel;
   return RunProgram(program.get(), config_.get(), cache_.get(), pool_.get(),
                     inputs.Bindings(), outputs.Names(), run);
-}
-
-StatusOr<ScriptResult> SystemDSContext::Execute(
-    const std::string& script, const std::map<std::string, DataPtr>& inputs,
-    const std::vector<std::string>& outputs) {
-  Inputs typed;
-  for (const auto& [name, value] : inputs) typed.Bind(name, value);
-  return Execute(script, typed, Outputs::FromVector(outputs));
 }
 
 StatusOr<std::unique_ptr<PreparedScript>> SystemDSContext::Prepare(
@@ -446,25 +398,6 @@ StatusOr<std::string> SystemDSContext::Explain(
   return program->Explain();
 }
 
-void PreparedScript::BindMatrix(const std::string& name, MatrixBlock value) {
-  bindings_[name] = std::make_shared<MatrixObject>(std::move(value));
-}
-void PreparedScript::BindFrame(const std::string& name, FrameBlock value) {
-  bindings_[name] = std::make_shared<FrameObject>(std::move(value));
-}
-void PreparedScript::BindDouble(const std::string& name, double value) {
-  bindings_[name] = ScalarObject::MakeDouble(value);
-}
-void PreparedScript::BindInt(const std::string& name, int64_t value) {
-  bindings_[name] = ScalarObject::MakeInt(value);
-}
-void PreparedScript::BindBool(const std::string& name, bool value) {
-  bindings_[name] = ScalarObject::MakeBool(value);
-}
-void PreparedScript::BindString(const std::string& name, std::string value) {
-  bindings_[name] = ScalarObject::MakeString(std::move(value));
-}
-
 StatusOr<ScriptResult> PreparedScript::Execute(
     const Inputs& inputs, const Outputs& outputs,
     const ExecuteOptions& options) const {
@@ -476,14 +409,6 @@ StatusOr<ScriptResult> PreparedScript::Execute(
   run.cancel = options.cancel;
   return RunProgram(program_.get(), config_.get(), cache_.get(), pool_.get(),
                     inputs.Bindings(), outputs.Names(), run);
-}
-
-StatusOr<ScriptResult> PreparedScript::Execute(
-    const std::vector<std::string>& outputs) {
-  RunOptions run;
-  run.allow_recompile = false;
-  return RunProgram(program_.get(), config_.get(), cache_.get(), pool_.get(),
-                    bindings_, outputs, run);
 }
 
 }  // namespace sysds

@@ -51,7 +51,7 @@ class ScriptResult {
 };
 
 /// Typed input-binding builder: the value-carrying half of an execution
-/// request. Replaces the raw std::map<std::string, DataPtr> surface:
+/// request:
 ///
 ///   ctx.Execute(script,
 ///               Inputs().Matrix("X", x).Scalar("eps", 1e-6),
@@ -140,25 +140,12 @@ class PreparedScript {
   StatusOr<ScriptResult> Execute(const Inputs& inputs, const Outputs& outputs,
                                  const ExecuteOptions& options = {}) const;
 
-  /// Deprecated mutable-binding surface. Not thread-safe: bindings are
-  /// stored on the PreparedScript itself. Prefer Execute(Inputs, Outputs).
-  void BindMatrix(const std::string& name, MatrixBlock value);
-  void BindFrame(const std::string& name, FrameBlock value);
-  void BindDouble(const std::string& name, double value);
-  void BindInt(const std::string& name, int64_t value);
-  void BindBool(const std::string& name, bool value);
-  void BindString(const std::string& name, std::string value);
-
-  /// Deprecated: executes with the Bind*-accumulated bindings.
-  StatusOr<ScriptResult> Execute(const std::vector<std::string>& outputs);
-
  private:
   friend class SystemDSContext;
   std::shared_ptr<Program> program_;
   std::shared_ptr<const DMLConfig> config_;
   std::shared_ptr<LineageCache> cache_;
   std::shared_ptr<BufferPool> pool_;
-  std::map<std::string, DataPtr> bindings_;
 };
 
 /// The MLContext-like entry point: owns configuration, the buffer pool, and
@@ -176,8 +163,8 @@ class SystemDSContext {
  public:
   /// Fluent constructor: every knob of DMLConfig plus the observability
   /// sinks, applied atomically at Build(). The built context's
-  /// configuration should be treated as immutable; concurrent executions
-  /// (PreparedScript / serve::ScoringService) rely on it not changing.
+  /// configuration is immutable; concurrent executions (PreparedScript /
+  /// serve::ScoringService) rely on it not changing.
   class Builder {
    public:
     Builder() = default;
@@ -210,8 +197,6 @@ class SystemDSContext {
     /// compress() before loops for large read-only matrices and matrix
     /// instructions dispatch to compressed kernels transparently.
     Builder& Compression(bool on = true);
-    /// Minimum estimated compression ratio before the planner compresses.
-    Builder& CompressionMinRatio(double ratio);
     /// Matrices below this in-memory size are never compressed.
     Builder& CompressionMinSize(int64_t bytes);
     /// Threads for transformencode/transformapply/transformdecode (0 =
@@ -224,9 +209,12 @@ class SystemDSContext {
     /// compression enablement upgrades kDense to kAuto at compile time.
     Builder& TransformOutput(TransformOutputFormat format);
     Builder& Statistics(bool on = true);
-    /// Folds SystemDSContext::EnableTracing into construction.
+    /// Turns on the span tracer (src/obs/); the Chrome trace-event JSON is
+    /// written to `path` by FlushObservability() or the destructor,
+    /// whichever comes first.
     Builder& EnableTracing(std::string path);
-    /// Folds SystemDSContext::EnableMetricsExport into construction.
+    /// Writes the metrics-registry JSON export to `path` at flush or
+    /// destruction time.
     Builder& EnableMetricsExport(std::string path);
     /// Chaos testing: the built context configures the process-wide
     /// FaultInjector with this FaultConfig at construction and disables it
@@ -241,8 +229,6 @@ class SystemDSContext {
     /// gate). Crash-safe: every file is CRC-checksummed and committed by
     /// atomic rename.
     Builder& Checkpointing(std::string dir, int64_t interval = 1);
-    /// Adaptive-gate cost factor (lost work >= factor x write cost).
-    Builder& CheckpointCostFactor(double factor);
     /// Resume from the checkpoint directory (`dml_runner --resume`): the
     /// deterministic program prefix re-executes, then execution fast-
     /// forwards past the checkpointed iterations. The resumed run is
@@ -267,22 +253,8 @@ class SystemDSContext {
   /// Read-only view of the configuration fixed at construction.
   const DMLConfig& config() const { return *config_; }
 
-  /// Deprecated escape hatch: mutable config reference. Mutating it after
-  /// construction is incompatible with concurrent execution; kept only so
-  /// pre-Builder call sites compile. Use Builder instead.
-  DMLConfig& Config() { return *config_; }
-
   LineageCache* Cache() { return cache_.get(); }
   BufferPool* Pool() { return pool_.get(); }
-
-  /// Deprecated: prefer Builder::EnableTracing. Turns on the span tracer
-  /// (src/obs/); the Chrome trace-event JSON is written to `path` by
-  /// FlushObservability() or the destructor, whichever comes first.
-  void EnableTracing(const std::string& path);
-
-  /// Deprecated: prefer Builder::EnableMetricsExport. Writes the
-  /// metrics-registry JSON export to `path` at flush/destruction time.
-  void EnableMetricsExport(const std::string& path);
 
   /// Writes any configured trace/metrics outputs now and disables tracing.
   /// Idempotent; also invoked by the destructor.
@@ -292,13 +264,6 @@ class SystemDSContext {
   StatusOr<ScriptResult> Execute(const std::string& script,
                                  const Inputs& inputs, const Outputs& outputs,
                                  const ExecuteOptions& options = {});
-
-  /// Deprecated shim over the raw-map binding surface; prefer the
-  /// Inputs/Outputs overload.
-  StatusOr<ScriptResult> Execute(
-      const std::string& script,
-      const std::map<std::string, DataPtr>& inputs = {},
-      const std::vector<std::string>& outputs = {});
 
   /// Precompiles a script for repeated low-latency execution (JMLC). The
   /// returned PreparedScript co-owns the context's cache/pool/config and
@@ -314,16 +279,13 @@ class SystemDSContext {
       const std::string& script,
       const std::map<std::string, SymbolInfo>& input_infos = {});
 
-  /// Convenience helpers to build raw input bindings (deprecated surface).
+  /// Wraps a matrix in a runtime object for Inputs::Bind. Binding one
+  /// object to many requests lets lineage reuse serve them from one cache
+  /// entry (inputs are traced by object identity).
   static DataPtr Matrix(MatrixBlock m);
-  static DataPtr Frame(FrameBlock f);
-  static DataPtr Scalar(double v);
-  static DataPtr ScalarInt(int64_t v);
-  static DataPtr ScalarString(std::string v);
-  static DataPtr ScalarBool(bool v);
 
  private:
-  std::shared_ptr<DMLConfig> config_;
+  std::shared_ptr<const DMLConfig> config_;
   std::shared_ptr<BufferPool> pool_;
   std::shared_ptr<LineageCache> cache_;
   std::string trace_path_;

@@ -10,7 +10,6 @@ const char* DataTypeName(DataType dt) {
     case DataType::kScalar: return "SCALAR";
     case DataType::kMatrix: return "MATRIX";
     case DataType::kFrame: return "FRAME";
-    case DataType::kTensor: return "TENSOR";
     case DataType::kList: return "LIST";
     case DataType::kUnknown: return "UNKNOWN";
   }

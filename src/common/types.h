@@ -6,13 +6,12 @@
 
 namespace sysds {
 
-/// Data types of language-level values (DML: matrix, frame, tensor, scalar,
-/// list). kUnknown is used during compilation before validation resolves it.
+/// Data types of language-level values (DML: matrix, frame, scalar, list).
+/// kUnknown is used during compilation before validation resolves it.
 enum class DataType {
   kScalar,
   kMatrix,
   kFrame,
-  kTensor,
   kList,
   kUnknown,
 };

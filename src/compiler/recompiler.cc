@@ -1,8 +1,8 @@
 #include "compiler/recompiler.h"
 
-#include "common/statistics.h"
 #include "compiler/codegen.h"
 #include "compiler/hop.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/controlprog/program.h"
 
@@ -11,7 +11,9 @@ namespace sysds {
 Status RecompileBasicBlock(BasicBlock* block, ExecutionContext* ec) {
   if (block->HopRoots().empty()) return Status::Ok();
   SYSDS_SPAN("compiler", "recompile");
-  Statistics::Get().IncCounter("compiler.recompilations");
+  static obs::Counter* const recompilations =
+      obs::MetricsRegistry::Get().GetCounter("compiler.recompilations");
+  recompilations->Add(1);
 
   for (Hop* hop : TopoOrder(block->HopRoots())) {
     if (hop->op() != HopOp::kTransientRead) continue;

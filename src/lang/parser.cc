@@ -250,7 +250,7 @@ class Parser {
     if (!Check(TokenType::kIdentifier)) return Err("expected parameter");
     Token first = Advance();
     if (Check(TokenType::kLBracket)) {
-      // Matrix[Double] / Frame[String] / Tensor[...] / List[...]
+      // Matrix[Double] / Frame[String] / List[...]
       std::string dt = first.text;
       Advance();  // '['
       if (!Check(TokenType::kIdentifier)) return Err("expected value type");
@@ -258,7 +258,6 @@ class Parser {
       SYSDS_RETURN_IF_ERROR(Expect(TokenType::kRBracket, "']'"));
       if (dt == "Matrix" || dt == "matrix") p.data_type = DataType::kMatrix;
       else if (dt == "Frame" || dt == "frame") p.data_type = DataType::kFrame;
-      else if (dt == "Tensor" || dt == "tensor") p.data_type = DataType::kTensor;
       else if (dt == "List" || dt == "list") p.data_type = DataType::kList;
       else return Err("unknown data type '" + dt + "'");
       if (!Check(TokenType::kIdentifier)) return Err("expected parameter name");

@@ -1,5 +1,6 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <bit>
 #include <mutex>
 #include <sstream>
@@ -189,6 +190,31 @@ std::string MetricsRegistry::ExportJson() const {
     os << "]}";
   }
   os << "}}";
+  return os.str();
+}
+
+std::string HeavyHitterReport(int top_k) {
+  const MetricsRegistry& reg = MetricsRegistry::Get();
+  std::ostringstream os;
+  std::vector<MetricsRegistry::InstrSnapshot> instrs;
+  for (auto& s : reg.Instructions()) {
+    if (s.count > 0) instrs.push_back(std::move(s));
+  }
+  std::sort(instrs.begin(), instrs.end(),
+            [](const auto& a, const auto& b) { return a.seconds > b.seconds; });
+  os << "Heavy hitter instructions (count, time[s]):\n";
+  const size_t shown = std::min(instrs.size(), static_cast<size_t>(top_k));
+  for (size_t i = 0; i < shown; ++i) {
+    os << "  " << instrs[i].name << "\t" << instrs[i].count << "\t"
+       << instrs[i].seconds << "\n";
+  }
+  bool header = false;
+  for (const auto& c : reg.Counters()) {
+    if (c.value == 0) continue;
+    if (!header) os << "Counters:\n";
+    header = true;
+    os << "  " << c.name << "\t" << c.value << "\n";
+  }
   return os.str();
 }
 

@@ -76,17 +76,23 @@ class Histogram {
 };
 
 /// Per-opcode instruction timing: invocation count plus accumulated
-/// nanoseconds (the substrate under Statistics::IncInstruction).
+/// nanoseconds (the `-stats` heavy-hitter table).
 struct InstrStat {
   Counter count;
   Counter nanos;
+
+  /// Records one invocation that took `seconds`.
+  void Record(double seconds) {
+    count.Add(1);
+    nanos.Add(static_cast<int64_t>(seconds * 1e9));
+  }
 };
 
 /// Process-wide registry of named metrics. Lookup takes a shared (reader)
 /// lock; creation takes the exclusive lock once per name. Returned pointers
 /// are stable for the process lifetime, so hot paths resolve a metric once
-/// and then update it lock-free (see Statistics for the thread-local
-/// memoization pattern).
+/// (a function-local static, or a pointer cached on the Instruction) and
+/// then update it lock-free.
 class MetricsRegistry {
  public:
   static MetricsRegistry& Get();
@@ -135,6 +141,11 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::map<std::string, std::unique_ptr<InstrStat>> instructions_;
 };
+
+/// Heavy-hitter report (`dml_runner -stats`): the top_k instructions by
+/// total time, then every non-zero counter. Entries untouched since the last
+/// ResetValues() are left out.
+std::string HeavyHitterReport(int top_k = 15);
 
 }  // namespace obs
 }  // namespace sysds

@@ -12,7 +12,6 @@
 #include "runtime/compress/compressed_block.h"
 #include "runtime/frame/frame_block.h"
 #include "runtime/matrix/matrix_block.h"
-#include "runtime/tensor/tensor_block.h"
 
 namespace sysds {
 
@@ -220,18 +219,6 @@ class FrameObject final : public Data {
 
  private:
   FrameBlock frame_;
-};
-
-class TensorObject final : public Data {
- public:
-  explicit TensorObject(TensorBlock tensor) : tensor_(std::move(tensor)) {}
-  DataType GetDataType() const override { return DataType::kTensor; }
-  ValueType GetValueType() const override { return tensor_.GetValueType(); }
-  const TensorBlock& Tensor() const { return tensor_; }
-  std::string DebugString() const override { return tensor_.ToString(); }
-
- private:
-  TensorBlock tensor_;
 };
 
 class ListObject final : public Data {

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "obs/metrics.h"
+
 namespace sysds {
 
 Operand Operand::Var(std::string name, DataType dt, ValueType vt) {
@@ -38,6 +40,16 @@ std::string Instruction::ToString() const {
   for (const Operand& in : inputs_) os << "\xc2\xb0" << in.ToString();
   for (const Operand& out : outputs_) os << "\xc2\xb0" << out.ToString();
   return os.str();
+}
+
+obs::InstrStat* Instruction::Stat() const {
+  obs::InstrStat* s = stat_.load(std::memory_order_acquire);
+  if (s == nullptr) {
+    // Racing resolvers get the same registry pointer; either store wins.
+    s = obs::MetricsRegistry::Get().GetInstrStat(opcode_);
+    stat_.store(s, std::memory_order_release);
+  }
+  return s;
 }
 
 }  // namespace sysds

@@ -1,6 +1,7 @@
 #ifndef SYSDS_RUNTIME_CONTROLPROG_INSTRUCTION_H_
 #define SYSDS_RUNTIME_CONTROLPROG_INSTRUCTION_H_
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,6 +13,9 @@
 namespace sysds {
 
 class ExecutionContext;
+namespace obs {
+struct InstrStat;
+}  // namespace obs
 
 /// A runtime instruction operand: either a symbol-table variable reference
 /// or an inline literal (the textual form mirrors SystemDS's
@@ -54,11 +58,16 @@ class Instruction {
 
   std::string ToString() const;
 
+  /// This opcode's timing slot in the metrics registry, resolved on first
+  /// use and cached here (programs are shared by concurrent executors).
+  obs::InstrStat* Stat() const;
+
  private:
   std::string opcode_;
   ExecType exec_type_;
   std::vector<Operand> inputs_;
   std::vector<Operand> outputs_;
+  mutable std::atomic<obs::InstrStat*> stat_{nullptr};
 };
 
 using InstructionPtr = std::unique_ptr<Instruction>;

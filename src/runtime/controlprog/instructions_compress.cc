@@ -45,10 +45,7 @@ Status CompressInstr::Execute(ExecutionContext* ec) {
 
   SYSDS_SPAN("compress", "compress_instr");
   SYSDS_ACQUIRE_READ(x, m);
-  CompressionSettings settings;
-  settings.sample_rows = cfg.compression_sample_rows;
-  settings.min_ratio = cfg.compression_min_ratio;
-  settings.max_group_cols = cfg.compression_max_group_cols;
+  const CompressionSettings settings;
   compress_metrics::PlannerInvocations()->Add(1);
   CompressionPlan plan = CompressionPlanner::Plan(x, settings);
   if (!plan.worthwhile) {
@@ -65,7 +62,7 @@ Status CompressInstr::Execute(ExecutionContext* ec) {
                     std::max<int64_t>(1, compressed.EstimateSizeInBytes());
   m->Release();
   if (compressed.NumCompressedColumns() == 0 ||
-      achieved < cfg.compression_min_ratio) {
+      achieved < settings.min_ratio) {
     compress_metrics::SkippedNotWorthwhile()->Add(1);
     return pass_through();
   }

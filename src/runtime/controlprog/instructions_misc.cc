@@ -92,8 +92,8 @@ namespace {
 
 // Encode options for transformencode/transformapply: the compiler-planned
 // output format (falling back to the session config for instructions built
-// outside the compiler), the configured transform parallelism, and the
-// compression planner's min-ratio gate for kAuto pricing.
+// outside the compiler) and the configured transform parallelism. kAuto
+// pricing keeps EncodeOptions' min-ratio gate (the planner's default).
 EncodeOptions TransformEncodeOptions(ExecutionContext* ec,
                                      TransformOutputFormat planned) {
   const DMLConfig& cfg = ec->Config();
@@ -102,7 +102,6 @@ EncodeOptions TransformEncodeOptions(ExecutionContext* ec,
       planned != TransformOutputFormat::kDense ? planned : cfg.transform_output;
   opts.num_threads = cfg.transform_num_threads > 0 ? cfg.transform_num_threads
                                                    : ec->NumThreads();
-  opts.min_ratio = cfg.compression_min_ratio;
   return opts;
 }
 

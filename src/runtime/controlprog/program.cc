@@ -5,11 +5,11 @@
 #include <set>
 #include <sstream>
 
-#include "common/statistics.h"
 #include "common/thread_pool.h"
 #include "common/util.h"
 #include "compiler/recompiler.h"
 #include "lineage/lineage.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/bufferpool/buffer_pool.h"
 #include "runtime/recovery/checkpoint_manager.h"
@@ -110,7 +110,9 @@ Status ExecuteInstructions(const std::vector<InstructionPtr>& instructions,
       }
       if (hit != nullptr) {
         ec->SetOutput(instr->outputs()[0], hit);
-        Statistics::Get().IncCounter("lineage.reuse_hits");
+        static obs::Counter* const reuse_hits =
+            obs::MetricsRegistry::Get().GetCounter("lineage.reuse_hits");
+        reuse_hits->Add(1);
         obs::Tracer::Instant("lineage", "reuse_hit");
         served = true;
       }
@@ -151,10 +153,7 @@ Status ExecuteInstructions(const std::vector<InstructionPtr>& instructions,
       }
     }
 
-    if (stats) {
-      Statistics::Get().IncInstruction(instr->opcode(),
-                                       timer.ElapsedSeconds());
-    }
+    if (stats) instr->Stat()->Record(timer.ElapsedSeconds());
   }
   return Status::Ok();
 }
@@ -233,7 +232,9 @@ class LoopLineageDedup {
     if (pit == path_ids_.end()) {
       path = next_path_++;
       path_ids_[signature] = path;
-      Statistics::Get().IncCounter("lineage.dedup_paths");
+      static obs::Counter* const dedup_paths =
+          obs::MetricsRegistry::Get().GetCounter("lineage.dedup_paths");
+      dedup_paths->Add(1);
     } else {
       path = pit->second;
     }
@@ -397,7 +398,9 @@ Status ParForBlock::Execute(ExecutionContext* ec) {
   }
   int64_t k = std::min<int64_t>(ec->NumThreads(),
                                 static_cast<int64_t>(iterations.size()));
-  Statistics::Get().IncCounter("parfor.executions");
+  static obs::Counter* const parfor_executions =
+      obs::MetricsRegistry::Get().GetCounter("parfor.executions");
+  parfor_executions->Add(1);
   PrefetchLoopOperands(ec, liveness_);
 
   // Snapshot originals of result variables for compare-and-merge.

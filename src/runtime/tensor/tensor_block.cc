@@ -1,7 +1,6 @@
 #include "runtime/tensor/tensor_block.h"
 
 #include <cmath>
-#include <numeric>
 #include <sstream>
 
 namespace sysds {
@@ -29,16 +28,6 @@ TensorBlock::TensorBlock(std::vector<int64_t> dims, ValueType vt)
       data_ = std::vector<double>(n, 0.0);
       break;
   }
-}
-
-StatusOr<TensorBlock> TensorBlock::FromDoubles(
-    std::vector<int64_t> dims, const std::vector<double>& values) {
-  if (Product(dims) != static_cast<int64_t>(values.size())) {
-    return InvalidArgument("tensor dims do not match value count");
-  }
-  TensorBlock t(std::move(dims), ValueType::kFP64);
-  std::get<std::vector<double>>(t.data_) = values;
-  return t;
 }
 
 int64_t TensorBlock::CellCount() const { return Product(dims_); }
@@ -122,62 +111,6 @@ void TensorBlock::SetString(const std::vector<int64_t>& ix,
   }
 }
 
-StatusOr<TensorBlock> TensorBlock::ElementwiseBinary(const TensorBlock& other,
-                                                     char op) const {
-  if (dims_ != other.dims_) {
-    return InvalidArgument("tensor elementwise op: shape mismatch");
-  }
-  if (value_type_ == ValueType::kString ||
-      other.value_type_ == ValueType::kString) {
-    return InvalidArgument("tensor elementwise op: string tensors invalid");
-  }
-  // Numeric promotion: FP64 > FP32 > INT64 > INT32 > BOOL.
-  auto rank = [](ValueType vt) {
-    switch (vt) {
-      case ValueType::kFP64: return 5;
-      case ValueType::kFP32: return 4;
-      case ValueType::kInt64: return 3;
-      case ValueType::kInt32: return 2;
-      case ValueType::kBoolean: return 1;
-      default: return 0;
-    }
-  };
-  ValueType out_vt =
-      rank(value_type_) >= rank(other.value_type_) ? value_type_
-                                                   : other.value_type_;
-  if (op == '/') out_vt = ValueType::kFP64;
-  TensorBlock out(dims_, out_vt);
-  int64_t n = CellCount();
-  for (int64_t i = 0; i < n; ++i) {
-    double a = GetDoubleLinear(i), b = other.GetDoubleLinear(i);
-    double v;
-    switch (op) {
-      case '+': v = a + b; break;
-      case '-': v = a - b; break;
-      case '*': v = a * b; break;
-      case '/': v = a / b; break;
-      default: return InvalidArgument("unsupported tensor op");
-    }
-    out.SetDoubleLinear(i, v);
-  }
-  return out;
-}
-
-StatusOr<double> TensorBlock::Sum() const {
-  if (value_type_ == ValueType::kString) {
-    return InvalidArgument("sum of string tensor");
-  }
-  double s = 0.0, corr = 0.0;
-  int64_t n = CellCount();
-  for (int64_t i = 0; i < n; ++i) {
-    double y = GetDoubleLinear(i) - corr;
-    double t = s + y;
-    corr = (t - s) - y;
-    s = t;
-  }
-  return s;
-}
-
 StatusOr<TensorBlock> TensorBlock::Slice(
     const std::vector<int64_t>& lower,
     const std::vector<int64_t>& upper) const {
@@ -212,25 +145,6 @@ StatusOr<TensorBlock> TensorBlock::Slice(
   return out;
 }
 
-StatusOr<TensorBlock> TensorBlock::Reshape(std::vector<int64_t> new_dims) const {
-  if (Product(new_dims) != CellCount()) {
-    return InvalidArgument("tensor reshape cell count mismatch");
-  }
-  TensorBlock out = *this;
-  out.dims_ = std::move(new_dims);
-  return out;
-}
-
-int64_t TensorBlock::EstimateSizeInBytes() const {
-  int64_t base = CellCount() * ValueTypeSize(value_type_) + 64;
-  if (value_type_ == ValueType::kString) {
-    for (const std::string& s : std::get<std::vector<std::string>>(data_)) {
-      base += static_cast<int64_t>(s.size());
-    }
-  }
-  return base;
-}
-
 bool TensorBlock::EqualsApprox(const TensorBlock& other, double eps) const {
   if (dims_ != other.dims_) return false;
   int64_t n = CellCount();
@@ -240,17 +154,6 @@ bool TensorBlock::EqualsApprox(const TensorBlock& other, double eps) const {
     }
   }
   return true;
-}
-
-std::string TensorBlock::ToString() const {
-  std::ostringstream os;
-  os << "tensor(";
-  for (size_t d = 0; d < dims_.size(); ++d) {
-    if (d > 0) os << "x";
-    os << dims_[d];
-  }
-  os << ", " << ValueTypeName(value_type_) << ")";
-  return os.str();
 }
 
 }  // namespace sysds

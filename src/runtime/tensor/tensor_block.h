@@ -13,19 +13,15 @@ namespace sysds {
 
 /// A homogeneous, linearized multi-dimensional array (paper §2.4,
 /// BasicTensorBlock): a single value type out of FP32/FP64/INT32/INT64/
-/// Bool/String, with dense storage; a COO-style sparse representation is
-/// used when the block is allocated sparse.
+/// Bool/String, with dense storage. It is the block type of the
+/// n-dimensional blocking scheme (blocking.h); no DML instruction produces
+/// tensors.
 ///
-/// Cell addressing is row-major over the dims vector. The 2D FP64 case is
-/// better served by MatrixBlock; TensorBlock provides the generality the
-/// data model needs (conversion helpers bridge the two).
+/// Cell addressing is row-major over the dims vector.
 class TensorBlock {
  public:
   TensorBlock() : value_type_(ValueType::kFP64) {}
   TensorBlock(std::vector<int64_t> dims, ValueType vt);
-
-  static StatusOr<TensorBlock> FromDoubles(std::vector<int64_t> dims,
-                                           const std::vector<double>& values);
 
   const std::vector<int64_t>& Dims() const { return dims_; }
   int64_t NumDims() const { return static_cast<int64_t>(dims_.size()); }
@@ -45,33 +41,13 @@ class TensorBlock {
   double GetDoubleLinear(int64_t i) const;
   void SetDoubleLinear(int64_t i, double v);
 
-  /// Elementwise binary op against an equal-shaped tensor; numeric types
-  /// promote to the wider type (String is invalid).
-  StatusOr<TensorBlock> ElementwiseBinary(const TensorBlock& other,
-                                          char op) const;
-
-  /// Full reduction (numeric types only).
-  StatusOr<double> Sum() const;
-
   /// Slices a sub-tensor given inclusive 0-based lower/upper bounds per dim.
   StatusOr<TensorBlock> Slice(const std::vector<int64_t>& lower,
                               const std::vector<int64_t>& upper) const;
 
-  /// Reshapes in row-major order (cell count must match).
-  StatusOr<TensorBlock> Reshape(std::vector<int64_t> new_dims) const;
-
-  int64_t EstimateSizeInBytes() const;
-
   bool EqualsApprox(const TensorBlock& other, double eps = 1e-9) const;
 
-  std::string ToString() const;
-
  private:
-  template <typename T>
-  const std::vector<T>& Store() const;
-  template <typename T>
-  std::vector<T>& Store();
-
   std::vector<int64_t> dims_;
   ValueType value_type_;
   // One variant arm per supported value type (linearized dense storage).

@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "../common/scoped_test_dir.h"
 #include "api/systemds_context.h"
 
 namespace sysds {
@@ -13,7 +14,7 @@ namespace {
 
 double Eval(const std::string& expr_script, const std::string& out = "v") {
   SystemDSContext ctx;
-  auto r = ctx.Execute(expr_script, {}, {out});
+  auto r = ctx.Execute(expr_script, Inputs(), Outputs(out));
   EXPECT_TRUE(r.ok()) << r.status() << "\nscript:\n" << expr_script;
   if (!r.ok()) return std::nan("");
   auto d = r->GetDouble(out);
@@ -143,7 +144,8 @@ TEST(DmlOpsTest, CastsAndStrings) {
   EXPECT_DOUBLE_EQ(Eval("v = as.double(\"2.5\") * 2\n"), 5.0);
   EXPECT_DOUBLE_EQ(Eval("v = as.scalar(as.matrix(4))\n"), 4.0);
   SystemDSContext ctx;
-  auto r = ctx.Execute("s = toString(matrix(1, 2, 2))\nn = 1\n", {}, {"s"});
+  auto r = ctx.Execute("s = toString(matrix(1, 2, 2))\nn = 1\n", Inputs(),
+                       Outputs("s"));
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_NE(r->GetString("s")->find("2x2"), std::string::npos);
 }
@@ -181,29 +183,31 @@ TEST(DmlOpsTest, LinearAlgebra) {
 }
 
 TEST(DmlOpsTest, ReadWriteRoundtripInDml) {
+  ScopedTestDir dir;
+  const std::string csv = dir.Path("rw.csv");
   SystemDSContext ctx;
   auto r = ctx.Execute(
       "X = rand(rows=20, cols=4, seed=5)\n"
-      "write(X, 'dml_ops_rw.csv')\n"
-      "Y = read('dml_ops_rw.csv')\n"
+      "write(X, '" + csv + "')\n"
+      "Y = read('" + csv + "')\n"
       "v = sum((X - Y)^2)\n",
-      {}, {"v"});
+      Inputs(), Outputs("v"));
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_NEAR(*r->GetDouble("v"), 0.0, 1e-18);
-  std::remove("dml_ops_rw.csv");
 }
 
 TEST(DmlOpsTest, BinaryFormatInDml) {
+  ScopedTestDir dir;
+  const std::string bin = dir.Path("rw.bin");
   SystemDSContext ctx;
   auto r = ctx.Execute(
       "X = rand(rows=30, cols=5, seed=6, sparsity=0.2)\n"
-      "write(X, 'dml_ops_rw.bin', format='binary')\n"
-      "Y = read('dml_ops_rw.bin', format='binary')\n"
+      "write(X, '" + bin + "', format='binary')\n"
+      "Y = read('" + bin + "', format='binary')\n"
       "v = sum((X - Y)^2)\n",
-      {}, {"v"});
+      Inputs(), Outputs("v"));
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_DOUBLE_EQ(*r->GetDouble("v"), 0.0);
-  std::remove("dml_ops_rw.bin");
 }
 
 TEST(DmlOpsTest, NestedFunctionCallsInExpressions) {

@@ -6,9 +6,8 @@ namespace sysds {
 namespace {
 
 // Helper: run a script and return the result (asserting success).
-ScriptResult RunScript(const std::string& script,
-                 const std::map<std::string, DataPtr>& inputs,
-                 const std::vector<std::string>& outputs) {
+ScriptResult RunScript(const std::string& script, const Inputs& inputs,
+                       const Outputs& outputs) {
   SystemDSContext ctx;
   auto result = ctx.Execute(script, inputs, outputs);
   EXPECT_TRUE(result.ok()) << result.status().ToString() << "\nscript:\n"
@@ -17,13 +16,15 @@ ScriptResult RunScript(const std::string& script,
 }
 
 TEST(EndToEndTest, ScalarArithmetic) {
-  ScriptResult r = RunScript("x = 1 + 2 * 3\ny = x ^ 2\n", {}, {"x", "y"});
+  ScriptResult r =
+      RunScript("x = 1 + 2 * 3\ny = x ^ 2\n", Inputs(), Outputs("x", "y"));
   EXPECT_DOUBLE_EQ(*r.GetDouble("x"), 7.0);
   EXPECT_DOUBLE_EQ(*r.GetDouble("y"), 49.0);
 }
 
 TEST(EndToEndTest, PrintOutput) {
-  ScriptResult r = RunScript("print('hello ' + 'world')\nprint(1+1)\n", {}, {});
+  ScriptResult r = RunScript("print('hello ' + 'world')\nprint(1+1)\n",
+                             Inputs(), Outputs::None());
   EXPECT_EQ(r.Output(), "hello world\n2\n");
 }
 
@@ -34,7 +35,7 @@ TEST(EndToEndTest, MatrixCreateAndAggregate) {
       "m = mean(X)\n"
       "n = nrow(X)\n"
       "c = ncol(X)\n",
-      {}, {"s", "m", "n", "c"});
+      Inputs(), Outputs("s", "m", "n", "c"));
   EXPECT_DOUBLE_EQ(*r.GetDouble("s"), 100.0);
   EXPECT_DOUBLE_EQ(*r.GetDouble("m"), 2.0);
   EXPECT_DOUBLE_EQ(*r.GetDouble("n"), 10.0);
@@ -46,7 +47,7 @@ TEST(EndToEndTest, MatrixMultiplyAndTranspose) {
       "A = matrix(\"1 2 3 4\", 2, 2)\n"
       "B = t(A) %*% A\n"
       "s = sum(B)\n",
-      {}, {"B", "s"});
+      Inputs(), Outputs("B", "s"));
   MatrixBlock b = *r.GetMatrix("B");
   // t(A)%*%A for A=[1 2;3 4] = [10 14; 14 20].
   EXPECT_DOUBLE_EQ(b.Get(0, 0), 10.0);
@@ -66,7 +67,7 @@ TEST(EndToEndTest, ControlFlowWhileAndIf) {
       "    s = s + i\n"
       "  }\n"
       "}\n",
-      {}, {"s"});
+      Inputs(), Outputs("s"));
   EXPECT_DOUBLE_EQ(*r.GetDouble("s"), 30.0);  // 2+4+6+8+10
 }
 
@@ -76,7 +77,7 @@ TEST(EndToEndTest, ForLoopAccumulation) {
       "for (i in 1:3) {\n"
       "  acc[i, 1] = i * i\n"
       "}\n",
-      {}, {"acc"});
+      Inputs(), Outputs("acc"));
   MatrixBlock acc = *r.GetMatrix("acc");
   EXPECT_DOUBLE_EQ(acc.Get(0, 0), 1.0);
   EXPECT_DOUBLE_EQ(acc.Get(1, 0), 4.0);
@@ -90,7 +91,7 @@ TEST(EndToEndTest, Indexing) {
       "row = X[2, ]\n"
       "col = X[, 1]\n"
       "sub = X[1:2, 2:3]\n",
-      {}, {"a", "row", "col", "sub"});
+      Inputs(), Outputs("a", "row", "col", "sub"));
   EXPECT_DOUBLE_EQ(*r.GetDouble("a"), 6.0);
   MatrixBlock row = *r.GetMatrix("row");
   EXPECT_EQ(row.Rows(), 1);
@@ -111,7 +112,7 @@ TEST(EndToEndTest, UserDefinedFunction) {
       "x = f(3)\n"
       "y = f(3, 4)\n"
       "z = f(a=2, b=5)\n",
-      {}, {"x", "y", "z"});
+      Inputs(), Outputs("x", "y", "z"));
   EXPECT_DOUBLE_EQ(*r.GetDouble("x"), 30.0);
   EXPECT_DOUBLE_EQ(*r.GetDouble("y"), 12.0);
   EXPECT_DOUBLE_EQ(*r.GetDouble("z"), 10.0);
@@ -125,7 +126,7 @@ TEST(EndToEndTest, MultiReturnFunction) {
       "}\n"
       "X = matrix(\"3 1 4 1 5\", 5, 1)\n"
       "[lo, hi] = f(X)\n",
-      {}, {"lo", "hi"});
+      Inputs(), Outputs("lo", "hi"));
   EXPECT_DOUBLE_EQ(*r.GetDouble("lo"), 1.0);
   EXPECT_DOUBLE_EQ(*r.GetDouble("hi"), 5.0);
 }
@@ -134,9 +135,8 @@ TEST(EndToEndTest, ExternalInputsAndOutputs) {
   SystemDSContext ctx;
   MatrixBlock x = MatrixBlock::FromValues(2, 2, {1, 2, 3, 4});
   auto result = ctx.Execute("Y = X * 2 + s\n",
-                            {{"X", SystemDSContext::Matrix(x)},
-                             {"s", SystemDSContext::Scalar(1.0)}},
-                            {"Y"});
+                            Inputs().Matrix("X", x).Scalar("s", 1.0),
+                            Outputs("Y"));
   ASSERT_TRUE(result.ok()) << result.status();
   MatrixBlock y = *result->GetMatrix("Y");
   EXPECT_DOUBLE_EQ(y.Get(0, 0), 3.0);
@@ -151,7 +151,7 @@ TEST(EndToEndTest, LmDSBuiltinRecoversCoefficients) {
       "y = X %*% w\n"
       "B = lmDS(X, y, 0, 1e-12)\n"
       "err = sum((B - w)^2)\n",
-      {}, {"err"});
+      Inputs(), Outputs("err"));
   EXPECT_LT(*r.GetDouble("err"), 1e-12);
 }
 
@@ -162,7 +162,7 @@ TEST(EndToEndTest, LmCGMatchesLmDS) {
       "B1 = lmDS(X, y, 0, 0.001)\n"
       "B2 = lmCG(X, y, 0, 0.001, 1e-12, 100)\n"
       "d = sum((B1 - B2)^2)\n",
-      {}, {"d"});
+      Inputs(), Outputs("d"));
   EXPECT_LT(*r.GetDouble("d"), 1e-8);
 }
 
@@ -173,7 +173,7 @@ TEST(EndToEndTest, ParForComputesDisjointResults) {
       "  R[1, i] = i * 10\n"
       "}\n"
       "s = sum(R)\n",
-      {}, {"s"});
+      Inputs(), Outputs("s"));
   EXPECT_DOUBLE_EQ(*r.GetDouble("s"), 360.0);
 }
 
@@ -183,7 +183,7 @@ TEST(EndToEndTest, SteplmSelectsInformativeFeatures) {
       "X = rand(rows=150, cols=5, seed=3)\n"
       "y = 4 * X[, 1] - 2 * X[, 3]\n"
       "[B, S] = steplm(X, y, 0, 1e-10)\n",
-      {}, {"B", "S"});
+      Inputs(), Outputs("B", "S"));
   MatrixBlock s = *r.GetMatrix("S");
   EXPECT_GT(s.Get(0, 0), 0.0);  // feature 1 selected
   EXPECT_GT(s.Get(0, 2), 0.0);  // feature 3 selected
@@ -202,13 +202,13 @@ TEST(EndToEndTest, IfElseBranchesAndElseIf) {
       "} else {\n"
       "  y = 3\n"
       "}\n",
-      {}, {"y"});
+      Inputs(), Outputs("y"));
   EXPECT_DOUBLE_EQ(*r.GetDouble("y"), 2.0);
 }
 
 TEST(EndToEndTest, ErrorUndefinedVariable) {
   SystemDSContext ctx;
-  auto result = ctx.Execute("y = x + 1\n", {}, {"y"});
+  auto result = ctx.Execute("y = x + 1\n", Inputs(), Outputs("y"));
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kValidateError);
 }
@@ -216,14 +216,15 @@ TEST(EndToEndTest, ErrorUndefinedVariable) {
 TEST(EndToEndTest, ErrorDimensionMismatch) {
   SystemDSContext ctx;
   auto result = ctx.Execute(
-      "A = matrix(1, 2, 3)\nB = matrix(1, 2, 3)\nC = A %*% B\n", {}, {"C"});
+      "A = matrix(1, 2, 3)\nB = matrix(1, 2, 3)\nC = A %*% B\n", Inputs(),
+      Outputs("C"));
   EXPECT_FALSE(result.ok());
 }
 
 TEST(EndToEndTest, StopAbortsExecution) {
   SystemDSContext ctx;
-  auto result =
-      ctx.Execute("x = 1\nstop('custom failure')\ny = 2\n", {}, {});
+  auto result = ctx.Execute("x = 1\nstop('custom failure')\ny = 2\n",
+                            Inputs(), Outputs::None());
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("custom failure"),
             std::string::npos);

@@ -11,8 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "../common/scoped_test_dir.h"
 #include "api/systemds_context.h"
-#include "common/statistics.h"
 #include "obs/metrics.h"
 
 namespace sysds {
@@ -145,16 +145,18 @@ TEST(FusionDifferentialTest, NnzAndSumSqAggregates) {
 TEST(FusionDifferentialTest, RecompileTriggersRefusion) {
   // Sizes of read() results are unknown at compile time; fusion must kick
   // in during dynamic recompilation once real dimensions are known.
+  ScopedTestDir dir;
+  const std::string csv = dir.Path("fusion_rc.csv");
   SystemDSContext gen;
   auto g = gen.Execute(
-      "X = rand(rows=80, cols=12, seed=13)\nwrite(X, 'fusion_rc.csv')\n", {},
-      {});
+      "X = rand(rows=80, cols=12, seed=13)\nwrite(X, '" + csv + "')\n",
+      Inputs(), Outputs::None());
   ASSERT_TRUE(g.ok()) << g.status();
 
   // The chain sits in a loop body — its own basic block — so by the time
   // that block recompiles at entry, X is live with known dimensions.
   const std::string script =
-      "X = read('fusion_rc.csv')\n"
+      "X = read('" + csv + "')\n"
       "s = 0\n"
       "for (i in 1:2) {\n"
       "  R = rowSums(((X - 0.5) / 0.29)^2)\n"
@@ -164,14 +166,15 @@ TEST(FusionDifferentialTest, RecompileTriggersRefusion) {
   DMLConfig stats_config;
   stats_config.statistics = true;
   SystemDSContext fused_ctx(stats_config);
-  Statistics::Get().Reset();
+  obs::MetricsRegistry::Get().ResetValues();
   int64_t regions_before =
       obs::MetricsRegistry::Get().GetCounter("fusion.regions")->Value();
-  auto rf = fused_ctx.Execute(script, {}, {"s"});
+  auto rf = fused_ctx.Execute(script, Inputs(), Outputs("s"));
   int64_t regions_after =
       obs::MetricsRegistry::Get().GetCounter("fusion.regions")->Value();
   ASSERT_TRUE(rf.ok()) << rf.status();
-  EXPECT_GT(Statistics::Get().GetCounter("compiler.recompilations"), 0);
+  EXPECT_GT(
+      obs::MetricsRegistry::Get().CounterValue("compiler.recompilations"), 0);
   EXPECT_GT(regions_after, regions_before)
       << "recompilation should have re-planned fusion with known sizes";
 
@@ -179,7 +182,6 @@ TEST(FusionDifferentialTest, RecompileTriggersRefusion) {
   auto ru = unfused_ctx->Execute(script, Inputs(), Outputs("s"));
   ASSERT_TRUE(ru.ok()) << ru.status();
   EXPECT_EQ(*rf->GetDouble("s"), *ru->GetDouble("s"));
-  std::remove("fusion_rc.csv");
 }
 
 TEST(FusionDifferentialTest, MetricsReportElidedIntermediates) {

@@ -1,7 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "../common/scoped_test_dir.h"
 #include "api/systemds_context.h"
-#include "common/statistics.h"
+#include "obs/metrics.h"
 
 namespace sysds {
 namespace {
@@ -9,46 +10,49 @@ namespace {
 TEST(RecompileTest, UnknownSizesFromReadAreResolved) {
   // Sizes of read() results are unknown at compile time; downstream blocks
   // recompile against live metadata (§2.3(3)).
+  ScopedTestDir dir;
+  const std::string csv = dir.Path("recomp_x.csv");
   SystemDSContext gen;
   auto g = gen.Execute(
-      "X = rand(rows=80, cols=12, seed=1)\nwrite(X, 'recomp_x.csv')\n", {},
-      {});
+      "X = rand(rows=80, cols=12, seed=1)\nwrite(X, '" + csv + "')\n",
+      Inputs(), Outputs::None());
   ASSERT_TRUE(g.ok()) << g.status();
 
   DMLConfig config;
   config.statistics = true;
   SystemDSContext ctx(config);
-  Statistics::Get().Reset();
+  obs::MetricsRegistry::Get().ResetValues();
   auto r = ctx.Execute(
-      "X = read('recomp_x.csv')\n"
+      "X = read('" + csv + "')\n"
       "A = t(X) %*% X\n"
       "n = nrow(X)\n"
       "s = sum(A)\n",
-      {}, {"n", "s"});
+      Inputs(), Outputs("n", "s"));
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_DOUBLE_EQ(*r->GetDouble("n"), 80.0);
-  EXPECT_GT(Statistics::Get().GetCounter("compiler.recompilations"), 0);
-  std::remove("recomp_x.csv");
+  EXPECT_GT(
+      obs::MetricsRegistry::Get().CounterValue("compiler.recompilations"), 0);
 }
 
 TEST(RecompileTest, DisabledRecompilationStillCorrect) {
   // Instructions are size-dynamic, so turning recompilation off changes
   // only plan choices, never results.
+  ScopedTestDir dir;
+  const std::string csv = dir.Path("recomp_y.csv");
   SystemDSContext gen;
   auto g = gen.Execute(
-      "X = rand(rows=40, cols=6, seed=2)\nwrite(X, 'recomp_y.csv')\n", {},
-      {});
+      "X = rand(rows=40, cols=6, seed=2)\nwrite(X, '" + csv + "')\n",
+      Inputs(), Outputs::None());
   ASSERT_TRUE(g.ok());
   DMLConfig config;
   config.dynamic_recompilation = false;
   SystemDSContext ctx(config);
   auto r = ctx.Execute(
-      "X = read('recomp_y.csv')\n"
+      "X = read('" + csv + "')\n"
       "s = sum(t(X) %*% X)\n",
-      {}, {"s"});
+      Inputs(), Outputs("s"));
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_GT(*r->GetDouble("s"), 0.0);
-  std::remove("recomp_y.csv");
 }
 
 TEST(RecompileTest, LoopWithGrowingMatrix) {
@@ -64,7 +68,7 @@ TEST(RecompileTest, LoopWithGrowingMatrix) {
       "c = ncol(Xg)\n"
       "A = t(Xg) %*% Xg\n"
       "n = nrow(A)\n",
-      {}, {"c", "n"});
+      Inputs(), Outputs("c", "n"));
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_DOUBLE_EQ(*r->GetDouble("c"), 6.0);
   EXPECT_DOUBLE_EQ(*r->GetDouble("n"), 6.0);
@@ -79,7 +83,7 @@ TEST(ParamServTest, DmlLevelParamservBuiltin) {
       "w = paramserv(features=X, labels=y, workers=2, epochs=40,\n"
       "              batchsize=32, lr=0.3, mode='BSP')\n"
       "err = sum((w - wtrue)^2)\n",
-      {}, {"err"});
+      Inputs(), Outputs("err"));
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_LT(*r->GetDouble("err"), 1e-2);
 }
@@ -95,7 +99,7 @@ TEST(ParamServTest, AspModeAndLogisticObjective) {
       "              objective='logistic')\n"
       "pred = (X %*% w) > 0\n"
       "acc = sum(pred == y) / 300\n",
-      {}, {"acc"});
+      Inputs(), Outputs("acc"));
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_GT(*r->GetDouble("acc"), 0.9);
 }

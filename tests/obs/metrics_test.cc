@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/json.h"
-#include "common/statistics.h"
 
 namespace sysds {
 namespace obs {
@@ -81,28 +80,18 @@ TEST(MetricsTest, ExportJsonIsWellFormed) {
   EXPECT_GE(hist->Find("count")->AsNumber(), 1);
 }
 
-// The Statistics facade rides on the registry: same counters, no mutex.
-TEST(MetricsTest, StatisticsFacadeSharesRegistry) {
-  Statistics::Get().Reset();
-  Statistics::Get().IncCounter("test.facade.counter", 9);
-  EXPECT_EQ(MetricsRegistry::Get().CounterValue("test.facade.counter"), 9);
-  MetricsRegistry::Get().GetCounter("test.facade.counter")->Add(1);
-  EXPECT_EQ(Statistics::Get().GetCounter("test.facade.counter"), 10);
-}
-
 TEST(MetricsTest, StatisticsInstructionTimesAggregate) {
-  Statistics::Get().Reset();
+  MetricsRegistry::Get().ResetValues();
+  InstrStat* op = MetricsRegistry::Get().GetInstrStat("test.op");
   constexpr int kThreads = 4;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([] {
-      for (int i = 0; i < 1000; ++i) {
-        Statistics::Get().IncInstruction("test.op", 0.001);
-      }
+    threads.emplace_back([op] {
+      for (int i = 0; i < 1000; ++i) op->Record(0.001);
     });
   }
   for (auto& t : threads) t.join();
-  std::string report = Statistics::Get().Report();
+  std::string report = HeavyHitterReport();
   EXPECT_NE(report.find("test.op\t4000\t"), std::string::npos);
 }
 

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "common/statistics.h"
+#include "obs/metrics.h"
 #include "runtime/matrix/op_codes.h"
 
 namespace sysds {
@@ -82,21 +82,22 @@ TEST(OpCodesTest, RModuloSemantics) {
 }
 
 TEST(StatisticsTest, CountersAndReport) {
-  Statistics::Get().Reset();
-  Statistics::Get().IncCounter("test.counter", 5);
-  Statistics::Get().IncCounter("test.counter");
-  EXPECT_EQ(Statistics::Get().GetCounter("test.counter"), 6);
-  EXPECT_EQ(Statistics::Get().GetCounter("missing"), 0);
-  Statistics::Get().IncInstruction("ba+*", 0.5);
-  Statistics::Get().IncInstruction("ba+*", 0.25);
-  Statistics::Get().IncInstruction("rand", 0.1);
-  std::string report = Statistics::Get().Report(1);
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Get();
+  reg.ResetValues();
+  reg.GetCounter("test.counter")->Add(5);
+  reg.GetCounter("test.counter")->Add();
+  EXPECT_EQ(reg.CounterValue("test.counter"), 6);
+  EXPECT_EQ(reg.CounterValue("missing"), 0);
+  reg.GetInstrStat("ba+*")->Record(0.5);
+  reg.GetInstrStat("ba+*")->Record(0.25);
+  reg.GetInstrStat("rand")->Record(0.1);
+  std::string report = obs::HeavyHitterReport(1);
   // Top-1 by time is ba+*; counters always shown.
   EXPECT_NE(report.find("ba+*"), std::string::npos);
   EXPECT_EQ(report.find("rand\t"), std::string::npos);
   EXPECT_NE(report.find("test.counter"), std::string::npos);
-  Statistics::Get().Reset();
-  EXPECT_EQ(Statistics::Get().GetCounter("test.counter"), 0);
+  reg.ResetValues();
+  EXPECT_EQ(reg.CounterValue("test.counter"), 0);
 }
 
 }  // namespace

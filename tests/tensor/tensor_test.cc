@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "runtime/tensor/data_tensor.h"
-
 namespace sysds {
 namespace {
 
@@ -50,74 +48,21 @@ TEST(TensorBlockTest, StringCells) {
   EXPECT_DOUBLE_EQ(t.GetDouble({1, 0}), 2.5);
 }
 
-TEST(TensorBlockTest, ElementwiseWithTypePromotion) {
-  TensorBlock a({2, 2}, ValueType::kInt32);
-  TensorBlock b({2, 2}, ValueType::kFP64);
-  a.SetDouble({0, 0}, 3);
-  b.SetDouble({0, 0}, 1.5);
-  auto c = a.ElementwiseBinary(b, '+');
-  ASSERT_TRUE(c.ok());
-  EXPECT_EQ(c->GetValueType(), ValueType::kFP64);
-  EXPECT_DOUBLE_EQ(c->GetDouble({0, 0}), 4.5);
-  // Int / int promotes to FP64.
-  auto d = a.ElementwiseBinary(a, '/');
-  EXPECT_EQ(d->GetValueType(), ValueType::kFP64);
-}
-
-TEST(TensorBlockTest, ElementwiseShapeMismatch) {
-  TensorBlock a({2, 2}, ValueType::kFP64);
-  TensorBlock b({2, 3}, ValueType::kFP64);
-  EXPECT_FALSE(a.ElementwiseBinary(b, '+').ok());
-}
-
 TEST(TensorBlockTest, SumAndSlice3d) {
   TensorBlock t({2, 3, 2}, ValueType::kFP64);
   for (int64_t i = 0; i < t.CellCount(); ++i) {
     t.SetDoubleLinear(i, static_cast<double>(i));
   }
-  EXPECT_DOUBLE_EQ(*t.Sum(), 66.0);  // 0+..+11
   auto s = t.Slice({0, 1, 0}, {1, 2, 1});
   ASSERT_TRUE(s.ok());
   EXPECT_EQ(s->Dims(), (std::vector<int64_t>{2, 2, 2}));
+  // The slice holds linear cells {2..5, 8..11} of the source.
+  double sum = 0;
+  for (int64_t i = 0; i < s->CellCount(); ++i) sum += s->GetDoubleLinear(i);
+  EXPECT_DOUBLE_EQ(sum, 52.0);
   EXPECT_DOUBLE_EQ(s->GetDouble({0, 0, 0}), t.GetDouble({0, 1, 0}));
   EXPECT_DOUBLE_EQ(s->GetDouble({1, 1, 1}), t.GetDouble({1, 2, 1}));
   EXPECT_FALSE(t.Slice({0, 0, 0}, {2, 2, 1}).ok());  // out of bounds
-}
-
-TEST(TensorBlockTest, Reshape) {
-  auto t = TensorBlock::FromDoubles({2, 6}, {0, 1, 2, 3, 4, 5,
-                                             6, 7, 8, 9, 10, 11});
-  auto r = t->Reshape({3, 2, 2});
-  ASSERT_TRUE(r.ok());
-  EXPECT_DOUBLE_EQ(r->GetDouble({0, 0, 0}), 0.0);
-  EXPECT_DOUBLE_EQ(r->GetDouble({2, 1, 1}), 11.0);
-  EXPECT_FALSE(t->Reshape({5, 2}).ok());
-}
-
-TEST(DataTensorTest, SchemaOnSecondDimension) {
-  // Fig 4(a): appliances x features x time with a schema on features.
-  auto t = DataTensorBlock::Create(
-      {4, 3, 5},
-      {ValueType::kFP64, ValueType::kInt64, ValueType::kString});
-  ASSERT_TRUE(t.ok());
-  EXPECT_EQ(t->Schema().size(), 3u);
-  t->SetDouble({1, 0, 2}, 3.14);
-  t->SetDouble({1, 1, 2}, 42.7);  // int column truncates
-  t->SetString({1, 2, 2}, "sensor-a");
-  EXPECT_DOUBLE_EQ(t->GetDouble({1, 0, 2}), 3.14);
-  EXPECT_DOUBLE_EQ(t->GetDouble({1, 1, 2}), 42.0);
-  EXPECT_EQ(t->GetString({1, 2, 2}), "sensor-a");
-  // Column accessor exposes the composing basic tensors.
-  EXPECT_EQ(t->Column(0).GetValueType(), ValueType::kFP64);
-  EXPECT_EQ(t->Column(2).GetValueType(), ValueType::kString);
-  EXPECT_EQ(t->Column(0).Dims(), (std::vector<int64_t>{4, 5}));
-}
-
-TEST(DataTensorTest, SchemaSizeMustMatchDim2) {
-  auto bad = DataTensorBlock::Create({4, 3, 5}, {ValueType::kFP64});
-  EXPECT_FALSE(bad.ok());
-  auto too_few_dims = DataTensorBlock::Create({4}, {ValueType::kFP64});
-  EXPECT_FALSE(too_few_dims.ok());
 }
 
 }  // namespace

@@ -4,10 +4,11 @@
 // round-trip through the meta frame.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 
+#include "../common/scoped_test_dir.h"
 #include "api/systemds_context.h"
 
 namespace sysds {
@@ -16,7 +17,8 @@ namespace {
 class TransformE2ETest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = "transform_e2e_people.csv";
+    dir_ = std::make_unique<ScopedTestDir>();
+    path_ = dir_->Path("people.csv");
     std::ofstream out(path_);
     out << "city,age\n";
     const char* cities[] = {"graz", "vienna", "linz"};
@@ -24,7 +26,7 @@ class TransformE2ETest : public ::testing::Test {
       out << cities[i % 3] << "," << (20 + i % 50) << "\n";
     }
   }
-  void TearDown() override { std::remove(path_.c_str()); }
+  void TearDown() override { dir_.reset(); }
 
   std::string Script() const {
     return "F = read('" + path_ +
@@ -35,12 +37,13 @@ class TransformE2ETest : public ::testing::Test {
            "c = sum(X^2)\n";
   }
 
+  std::unique_ptr<ScopedTestDir> dir_;
   std::string path_;
 };
 
 TEST_F(TransformE2ETest, CompressedSinkMatchesDenseThroughDml) {
   auto dense_ctx = SystemDSContext::Builder().Build();
-  auto r1 = dense_ctx->Execute(Script(), {}, {"s", "c"});
+  auto r1 = dense_ctx->Execute(Script(), Inputs(), Outputs("s", "c"));
   ASSERT_TRUE(r1.ok()) << r1.status();
   for (auto output : {TransformOutputFormat::kCompressed,
                       TransformOutputFormat::kAuto}) {
@@ -48,7 +51,7 @@ TEST_F(TransformE2ETest, CompressedSinkMatchesDenseThroughDml) {
                    .TransformOutput(output)
                    .TransformThreads(4)
                    .Build();
-    auto r2 = ctx->Execute(Script(), {}, {"s", "c"});
+    auto r2 = ctx->Execute(Script(), Inputs(), Outputs("s", "c"));
     ASSERT_TRUE(r2.ok()) << r2.status();
     EXPECT_DOUBLE_EQ(*r2->GetDouble("s"), *r1->GetDouble("s"));
     EXPECT_DOUBLE_EQ(*r2->GetDouble("c"), *r1->GetDouble("c"));
@@ -59,12 +62,12 @@ TEST_F(TransformE2ETest, CompressionEnabledUpgradesEncodeOutputs) {
   // With --compress the compiler stamps encode outputs kAuto; results must
   // stay identical to the dense baseline.
   auto dense_ctx = SystemDSContext::Builder().Build();
-  auto r1 = dense_ctx->Execute(Script(), {}, {"s"});
+  auto r1 = dense_ctx->Execute(Script(), Inputs(), Outputs("s"));
   ASSERT_TRUE(r1.ok()) << r1.status();
   DMLConfig config;
   config.compression_enabled = true;
   auto ctx = SystemDSContext::Builder().WithConfig(config).Build();
-  auto r2 = ctx->Execute(Script(), {}, {"s"});
+  auto r2 = ctx->Execute(Script(), Inputs(), Outputs("s"));
   ASSERT_TRUE(r2.ok()) << r2.status();
   EXPECT_DOUBLE_EQ(*r2->GetDouble("s"), *r1->GetDouble("s"));
 }
