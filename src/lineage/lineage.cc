@@ -180,6 +180,7 @@ DataPtr LineageCache::LockedLookup(uint64_t hash,
     return nullptr;
   }
   it->second.last_use = clock_.fetch_add(1, std::memory_order_relaxed) + 1;
+  s.lru.splice(s.lru.end(), s.lru, it->second.lru_pos);
   return it->second.value;
 }
 
@@ -230,10 +231,13 @@ void LineageCache::Put(const LineageItemPtr& item, const DataPtr& value) {
       // Concurrent executors may compute the same intermediate; keep the
       // first copy and just refresh its recency.
       it->second.last_use = clock_.load(std::memory_order_relaxed);
+      s.lru.splice(s.lru.end(), s.lru, it->second.lru_pos);
       return;
     }
     inserted = true;
     ++s.puts;
+    it->second.lru_pos = s.lru.insert(s.lru.end(), hash);
+    ++s.summary_counts[static_cast<size_t>(SummaryIndex(hash))];
     s.summary.fetch_or(SummaryBit(hash), std::memory_order_release);
     s.generation.fetch_add(1, std::memory_order_release);
   }
@@ -245,37 +249,34 @@ void LineageCache::Put(const LineageItemPtr& item, const DataPtr& value) {
 
 void LineageCache::EvictIfNeeded() {
   while (bytes_.load(std::memory_order_relaxed) > limit_bytes_) {
-    // Pass 1: find the shard holding the globally oldest entry (each shard
-    // is locked briefly; the snapshot may be slightly stale, which only
-    // perturbs LRU order, never correctness).
+    // The victim is the oldest of the shard heads (each shard is locked
+    // briefly; a stale snapshot only perturbs LRU order, never
+    // correctness).
     int victim_shard = -1;
     int64_t oldest = std::numeric_limits<int64_t>::max();
     for (int i = 0; i < kNumShards; ++i) {
-      std::lock_guard<std::mutex> lock(shards_[static_cast<size_t>(i)].mutex);
-      for (const auto& [hash, entry] :
-           shards_[static_cast<size_t>(i)].entries) {
-        if (entry.last_use < oldest) {
-          oldest = entry.last_use;
-          victim_shard = i;
-        }
+      const Shard& s = shards_[static_cast<size_t>(i)];
+      std::lock_guard<std::mutex> lock(s.mutex);
+      if (s.lru.empty()) continue;
+      const int64_t head_use = s.entries.at(s.lru.front()).last_use;
+      if (head_use < oldest) {
+        oldest = head_use;
+        victim_shard = i;
       }
     }
     if (victim_shard < 0) return;  // racing evictors emptied the cache
-    // Pass 2: evict that shard's current oldest entry and rebuild the
-    // resident-hash summary from the survivors.
     Shard& s = shards_[static_cast<size_t>(victim_shard)];
     std::lock_guard<std::mutex> lock(s.mutex);
-    if (s.entries.empty()) continue;
-    auto victim = s.entries.begin();
-    for (auto it = s.entries.begin(); it != s.entries.end(); ++it) {
-      if (it->second.last_use < victim->second.last_use) victim = it;
-    }
+    if (s.lru.empty()) continue;
+    const uint64_t hash = s.lru.front();
+    s.lru.pop_front();
+    auto victim = s.entries.find(hash);
     bytes_.fetch_sub(victim->second.size, std::memory_order_relaxed);
     ++s.evictions;
     s.entries.erase(victim);
-    uint64_t summary = 0;
-    for (const auto& [hash, entry] : s.entries) summary |= SummaryBit(hash);
-    s.summary.store(summary, std::memory_order_release);
+    if (--s.summary_counts[static_cast<size_t>(SummaryIndex(hash))] == 0) {
+      s.summary.fetch_and(~SummaryBit(hash), std::memory_order_release);
+    }
   }
 }
 
@@ -310,6 +311,8 @@ void LineageCache::Clear() {
       bytes_.fetch_sub(entry.size, std::memory_order_relaxed);
     }
     s.entries.clear();
+    s.lru.clear();
+    s.summary_counts.fill(0);
     s.summary.store(0, std::memory_order_release);
     // generation stays nonzero: it counts inserts ever, and a cleared shard
     // is re-proven empty by the summary.

@@ -4,6 +4,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -115,8 +116,9 @@ struct LineageCacheStats {
 /// ever) and a 64-bit resident-hash summary; a zero generation or a clear
 /// summary bit proves the hash is not resident, and only summary false
 /// positives fall through to the locked lookup. Eviction approximates a
-/// global LRU: a logical clock orders hits across shards and the eviction
-/// sweep removes the globally oldest entry until under the byte limit.
+/// global LRU: each shard keeps its entries in recency order, a logical
+/// clock orders the shard heads, and each eviction removes the oldest of
+/// the kNumShards heads, so its cost does not grow with the entry count.
 class LineageCache {
  public:
   static constexpr int kShardBits = 4;
@@ -154,6 +156,8 @@ class LineageCache {
     DataPtr value;
     int64_t size = 0;
     int64_t last_use = 0;
+    // Position of this entry's hash in its shard's recency list.
+    std::list<uint64_t>::iterator lru_pos;
   };
 
   // Sized and aligned to keep each shard's mutex and map on distinct cache
@@ -161,7 +165,11 @@ class LineageCache {
   struct alignas(64) Shard {
     mutable std::mutex mutex;
     std::map<uint64_t, Entry> entries;
-    // Guarded by `mutex`.
+    // Guarded by `mutex`: resident hashes, least recently used first, and
+    // the number of resident hashes per summary bit (a bit clears when its
+    // count drops to zero, so eviction never rescans the shard).
+    std::list<uint64_t> lru;
+    std::array<int32_t, 64> summary_counts{};
     int64_t puts = 0;
     int64_t evictions = 0;
     // Lock-free probe summaries: `generation` counts inserts ever made into
@@ -174,13 +182,16 @@ class LineageCache {
   Shard& ShardFor(uint64_t hash) {
     return shards_[hash & static_cast<uint64_t>(kNumShards - 1)];
   }
+  static int SummaryIndex(uint64_t hash) {
+    return static_cast<int>((hash >> kShardBits) & 63);
+  }
   static uint64_t SummaryBit(uint64_t hash) {
-    return 1ULL << ((hash >> kShardBits) & 63);
+    return 1ULL << SummaryIndex(hash);
   }
   /// True if `hash` may be resident; lock-free, no false negatives.
   bool MayContain(uint64_t hash);
-  /// Locks shards one at a time to evict the globally oldest entry until
-  /// total occupancy is back under the limit.
+  /// Locks shards one at a time to evict the oldest shard head until total
+  /// occupancy is back under the limit.
   void EvictIfNeeded();
   /// Looks up `hash` in its shard and returns the value (bumping LRU) or
   /// nullptr; `expected` guards against hash collisions. Counting the hit

@@ -79,6 +79,36 @@ TEST(LineageCacheTest, EvictsLruWhenOverLimit) {
   EXPECT_NE(cache.Probe(items[3]), nullptr);
 }
 
+// Long eviction churn: 2000 small puts through a cache that holds about 8,
+// with one early entry hit after every put. LRU must keep the hit entry and
+// otherwise only the newest puts, and count one eviction per departed put.
+TEST(LineageCacheTest, EvictionChurnKeepsHotEntryAndNewestPuts) {
+  const int64_t block =
+      MatrixObject(MatrixBlock::Dense(4, 4, 1.0)).EstimateSizeInBytes();
+  LineageCache cache(8 * block + block / 2, ReusePolicy::kFull);
+  constexpr int kPuts = 2000;
+  std::vector<LineageItemPtr> items;
+  for (int i = 0; i < kPuts; ++i) {
+    items.push_back(LineageItem::Node(
+        "tsmm", {LineageItem::Leaf("in", "X" + std::to_string(i))}));
+    cache.Put(items.back(), std::make_shared<MatrixObject>(
+                                MatrixBlock::Dense(4, 4, 1.0)));
+    if (i >= 1) {
+      ASSERT_NE(cache.Probe(items[1]), nullptr) << "put " << i;
+    }
+  }
+  int64_t resident = 1;  // items[1], checked above
+  for (int i = 0; i < kPuts; ++i) {
+    if (i == 1 || cache.Probe(items[i]) == nullptr) continue;
+    ++resident;
+    EXPECT_GE(i, kPuts - 8) << "stale entry " << i << " survived";
+  }
+  EXPECT_EQ(resident, 8);
+  const LineageCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.puts, kPuts);
+  EXPECT_EQ(stats.evictions, stats.puts - resident);
+}
+
 // End-to-end reuse: identical results with and without reuse, with cache
 // hits recorded (the §4.3 workload in miniature).
 TEST(LineageReuseTest, SweepResultsIdenticalWithReuse) {
